@@ -289,6 +289,9 @@ def _color_speculative(lay: GroupLayout, max_rounds: int, tracer=NULL_TRACER,
     goe = lay.group_of_entry
     t_nonempty = lay.tdeg > 0
     t_ne_starts = lay.tptr[:-1][t_nonempty]
+    # Empty groups own no entries (a trailing one starts past the end).
+    g_nonempty = gdeg > 0
+    g_ne_starts, g_ne_deg = gptr[:-1][g_nonempty], gdeg[g_nonempty]
     colors = np.full(n, UNCOLORED, dtype=np.int32)
     records: list[IterationRecord] = []
     cmax = -1
@@ -310,7 +313,7 @@ def _color_speculative(lay: GroupLayout, max_rounds: int, tracer=NULL_TRACER,
         # member lists, then a per-vertex segmented max).  The accumulator
         # widens to int64 past 2**31 entries (see :func:`rank_dtype`).
         pre = np.cumsum(unc_entry, dtype=lay.rank_dtype) - unc_entry
-        rep = np.repeat(pre[gptr[:-1]], gdeg) if gidx.size else pre[:0]
+        rep = np.repeat(pre[g_ne_starts], g_ne_deg)
         rank_entry = pre - rep
         rank_v = np.zeros(n, dtype=lay.rank_dtype)
         if t_ne_starts.size:
@@ -355,8 +358,8 @@ def _color_speculative(lay: GroupLayout, max_rounds: int, tracer=NULL_TRACER,
         order = np.argsort(key, kind="stable")
         sk = key[order]
         sv = tv[order]
-        dup = np.concatenate(([False], sk[1:] == sk[:-1]))
-        losers = np.unique(sv[dup]).astype(np.int64)
+        dup = sk[1:] == sk[:-1]
+        losers = np.unique(sv[1:][dup]).astype(np.int64)
         colors[losers] = UNCOLORED
         # Palette growth measured on the *committed* state (post-demotion):
         # a tentative color whose every claimant lost does not count yet.

@@ -50,6 +50,7 @@ import time
 
 import numpy as np
 
+from repro.core.fastpath.engine import _ragged_take
 from repro.errors import ColoringError
 from repro.types import ColoringResult, IterationRecord, UNCOLORED
 
@@ -59,27 +60,27 @@ __all__ = ["ShardedBackend"]
 def _detect_losers(bg, batch: np.ndarray, colors: np.ndarray, work) -> list[int]:
     """Batch vertices losing a same-color tie to a smaller-id neighbor.
 
-    Mirrors the oracle's ``_conflicted`` exactly (same early exits, same
-    order) while also counting the adjacency entries examined into
-    ``work.conflict_checks``.
+    Mirrors the oracle's ``_conflicted`` exactly in one vectorized pass:
+    the batch's ``(u, net, w)`` adjacency entries are gathered in the
+    loop's order (batch, then ``nets(u)``, then ``vtxs(net)``) and each
+    ``u``'s first hit (``w < u`` with ``u``'s color) is found by segment.
+    ``work.conflict_checks`` gains the entries the early-exiting loop would
+    examine: up to and including the first hit, or all of ``u``'s entries.
     """
-    losers = []
-    checks = 0
-    for u in batch.tolist():
-        cu = colors[u]
-        lost = False
-        for net in bg.nets(u):
-            for w in bg.vtxs(net):
-                checks += 1
-                if w < u and colors[w] == cu:
-                    lost = True
-                    break
-            if lost:
-                break
-        if lost:
-            losers.append(u)
-    work.add("conflict_checks", checks)
-    return losers
+    vptr, vidx = bg.vtx_to_nets.ptr, bg.vtx_to_nets.idx
+    nptr, nidx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
+    nets, net_seg = _ragged_take(vidx, vptr[batch], vptr[batch + 1] - vptr[batch])
+    w, entry_net = _ragged_take(nidx, nptr[nets], nptr[nets + 1] - nptr[nets])
+    seg = net_seg[entry_net]
+    u = batch[seg]
+    hit = np.flatnonzero((w < u) & (colors[w] == colors[u]))
+    # Hits come in entry order, so each segment's first one starts a run.
+    first = hit[np.diff(seg[hit], prepend=-1) != 0]
+    lost = seg[first]
+    # Entries each loser's loop skips after its first hit.
+    seg_end = np.cumsum(np.bincount(seg, minlength=batch.size))
+    work.add("conflict_checks", int(w.size - (seg_end[lost] - first - 1).sum()))
+    return batch[lost].tolist()
 
 
 class ShardedBackend:

@@ -68,14 +68,22 @@ def _validated_partition(partition, n: int, ranks: int) -> np.ndarray:
 
 
 def boundary_mask(bg: BipartiteGraph, part: np.ndarray) -> np.ndarray:
-    """True for vertices sharing a net with another rank's vertex."""
+    """True for vertices sharing a net with another rank's vertex.
+
+    One pass over the net-major entries: a net is cut when the segmented
+    minimum and maximum (``np.minimum.reduceat`` / ``np.maximum.reduceat``)
+    of its members' owners differ, and every member of a cut net is marked.
+    """
+    ptr, idx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
+    owners = part[idx]
+    degs = np.diff(ptr)
+    starts = ptr[:-1][degs > 0]
+    cut = np.zeros(bg.num_nets, dtype=bool)
+    cut[degs > 0] = (
+        np.minimum.reduceat(owners, starts) != np.maximum.reduceat(owners, starts)
+    )
     mask = np.zeros(bg.num_vertices, dtype=bool)
-    for net in range(bg.num_nets):
-        vs = bg.vtxs(net)
-        if vs.size > 1:
-            owners = part[vs]
-            if (owners != owners[0]).any():
-                mask[vs] = True
+    mask[idx[np.repeat(cut, degs)]] = True
     return mask
 
 

@@ -62,6 +62,8 @@ class ColoringServer:
         self.port = port
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
+        self._handlers: set[asyncio.Task] = set()
+        self._closing = False
         self.connections = 0
 
     async def start(self) -> "ColoringServer":
@@ -77,6 +79,13 @@ class ColoringServer:
         """Stop accepting, drop the listener, and close the service."""
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            # End connections still open (a client idle in readline) here:
+            # left to the event loop's teardown, their cancellation would be
+            # reported as an unhandled error.
+            for task in self._handlers:
+                task.cancel()
+            await asyncio.gather(*self._handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         await self.service.close()
@@ -102,6 +111,22 @@ class ColoringServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         self.connections += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            if not self._closing:
+                raise
+            # Cancelled by close(): end the connection quietly.
+        finally:
+            self._handlers.discard(task)
+
+    async def _serve_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
         try:
             while True:
                 try:

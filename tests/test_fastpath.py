@@ -101,6 +101,18 @@ def test_bgpc_speculative_valid(fixture, request):
     assert result.iterations[-1].conflicts == 0
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [[[1, 0], [0, 1], [0, 0]], [[0, 0], [0, 0]], [[0], [0]]],
+    ids=["trailing-empty-net", "edgeless", "edgeless-one-vertex"],
+)
+def test_bgpc_speculative_degenerate(pattern):
+    """A trailing empty net and edgeless graphs color without IndexError."""
+    bg = bipartite_from_dense(np.array(pattern))
+    result = color_bgpc(bg, "N1-N2", backend="numpy", fastpath_mode="speculative")
+    validate_bgpc(bg, result.colors)
+
+
 @pytest.mark.parametrize("fixture", GRAPH_FIXTURES)
 def test_d2gc_speculative_valid(fixture, request):
     g = request.getfixturevalue(fixture)

@@ -749,6 +749,30 @@ class TestServeCli:
         assert "cache.hit" in names
 
 
+    def test_shutdown_with_another_connection_open(self):
+        env_path = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=env_path),
+        )
+        try:
+            port = int(proc.stdout.readline().rsplit(":", 1)[1])
+            with ServiceClient("127.0.0.1", port) as idle:
+                assert idle.ping()["pong"]
+                with ServiceClient("127.0.0.1", port) as closer:
+                    closer.shutdown()
+                _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in err, err
+
+
 # -- serve bench experiment -------------------------------------------------
 
 

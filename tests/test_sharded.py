@@ -5,9 +5,13 @@ Covers the acceptance guarantees of the sharded backend (see
 oracle given the same partition and batch, byte-identical colors to
 ``backend="process"`` at one shard, valid colorings on every
 regress-suite instance, and determinism at any shard count.  Plus
-property tests (hypothesis) for all registered partitioners and the
-memory-bound regression for the BFS frontier fix.
+property tests (hypothesis) for all registered partitioners, the
+memory-bound regression for the BFS frontier fix, and parity of the
+vectorized partition / boundary / loser helpers with their per-row loop
+reference versions.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro import color_bgpc, color_d2gc, validate_bgpc, validate_d2gc
 from repro.cli import main
 from repro.datasets import channel_mesh, random_bipartite, random_graph
 from repro.dist import (
+    boundary_mask,
     distributed_bgpc,
     get_partitioner,
     partition_bfs,
@@ -31,7 +36,9 @@ from repro.graph import (
     bipartite_from_edges,
     write_matrix_market,
 )
+from repro.dist.sharded import _detect_losers
 from repro.graph.bipartite import BipartiteGraph
+from repro.obs.work import WorkCounters
 
 SLOW = settings(
     max_examples=25,
@@ -268,6 +275,158 @@ class TestBfsMemoryBound:
         assert sizes.sum() == bg.num_vertices
         assert sizes.max() <= -(-bg.num_vertices // 3) + 1
         assert stats["max_queue"] <= bg.num_vertices
+
+
+# Per-row loop versions of the vectorized helpers, kept as parity references.
+
+
+def _loop_partition_bfs(bg, ranks, stats=None):
+    n = bg.num_vertices
+    target = -(-n // ranks)
+    part = np.full(n, -1, dtype=np.int64)
+    enqueued = np.full(n, -1, dtype=np.int64)
+    max_queue = 0
+    next_seed = 0
+    for r in range(ranks - 1):
+        size = 0
+        queue = deque()
+        while size < target:
+            if not queue:
+                while next_seed < n and part[next_seed] != -1:
+                    next_seed += 1
+                if next_seed == n:
+                    break
+                queue.append(next_seed)
+                enqueued[next_seed] = r
+            u = queue.popleft()
+            if part[u] != -1:
+                continue
+            part[u] = r
+            size += 1
+            for net in bg.nets(u):
+                for w in bg.vtxs(net):
+                    if part[w] == -1 and enqueued[w] != r:
+                        enqueued[w] = r
+                        queue.append(int(w))
+            if len(queue) > max_queue:
+                max_queue = len(queue)
+    part[part == -1] = ranks - 1
+    if stats is not None:
+        stats["max_queue"] = max_queue
+    return part
+
+
+def _loop_partition_greedy(bg, ranks, passes=2):
+    n = bg.num_vertices
+    part = _loop_partition_bfs(bg, ranks)
+    cap = -(-n // ranks) + 1
+    sizes = np.bincount(part, minlength=ranks).astype(np.int64)
+    for _ in range(passes):
+        moved = 0
+        for u in range(n):
+            counts = {}
+            for net in bg.nets(u):
+                for w in bg.vtxs(net):
+                    if w != u:
+                        owner = int(part[w])
+                        counts[owner] = counts.get(owner, 0) + 1
+            if not counts:
+                continue
+            cur = int(part[u])
+            best, best_count = cur, counts.get(cur, 0)
+            for owner in sorted(counts):
+                if counts[owner] > best_count and sizes[owner] + 1 <= cap:
+                    best, best_count = owner, counts[owner]
+            if best != cur:
+                part[u] = best
+                sizes[cur] -= 1
+                sizes[best] += 1
+                moved += 1
+        if moved == 0:
+            break
+    return part
+
+
+def _loop_boundary_mask(bg, part):
+    mask = np.zeros(bg.num_vertices, dtype=bool)
+    for net in range(bg.num_nets):
+        vs = bg.vtxs(net)
+        if vs.size > 1:
+            owners = part[vs]
+            if (owners != owners[0]).any():
+                mask[vs] = True
+    return mask
+
+
+def _loop_detect_losers(bg, batch, colors, work):
+    losers = []
+    checks = 0
+    for u in batch.tolist():
+        cu = colors[u]
+        lost = False
+        for net in bg.nets(u):
+            for w in bg.vtxs(net):
+                checks += 1
+                if w < u and colors[w] == cu:
+                    lost = True
+                    break
+            if lost:
+                break
+        if lost:
+            losers.append(u)
+    work.add("conflict_checks", checks)
+    return losers
+
+
+def _edge_case_graph():
+    """Leading and trailing empty nets, isolated vertices, one giant net."""
+    rng = np.random.default_rng(5)
+    edges = [(u, 5) for u in range(28)]  # the giant net; 28, 29 isolated
+    ends = zip(rng.integers(0, 28, 40), rng.integers(1, 9, 40))
+    edges += [(int(u), int(v)) for u, v in ends]
+    return bipartite_from_edges(edges, num_vertices=30, num_nets=10)
+
+
+PARITY_GRAPHS = {
+    **{
+        f"random{s}": random_bipartite(40, 60, density=0.08, seed=s)
+        for s in range(3)
+    },
+    "edge_cases": _edge_case_graph(),
+    "relabelled": _gview(random_bipartite(50, 40, density=0.1, seed=9)),
+}
+
+
+class TestLoopParity:
+    @pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+    @pytest.mark.parametrize("ranks", [2, 3, 4, 64])
+    def test_partitions_and_boundary(self, name, ranks):
+        bg = PARITY_GRAPHS[name]
+        ref_stats, stats = {}, {}
+        ref = _loop_partition_bfs(bg, ranks, ref_stats)
+        part = partition_bfs(bg, ranks, stats)
+        assert np.array_equal(part, ref)
+        assert stats["max_queue"] == ref_stats["max_queue"]
+        # Structural: each net is expanded at most once per grown part.
+        assert stats["net_expansions"] <= (ranks - 1) * bg.num_nets
+        assert np.array_equal(
+            boundary_mask(bg, part), _loop_boundary_mask(bg, part)
+        )
+        assert np.array_equal(
+            partition_greedy(bg, ranks), _loop_partition_greedy(bg, ranks)
+        )
+
+    @pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+    def test_detect_losers(self, name):
+        bg = PARITY_GRAPHS[name]
+        rng = np.random.default_rng(len(name))
+        colors = rng.integers(0, 3, bg.num_vertices)
+        batch = rng.permutation(bg.num_vertices)[: bg.num_vertices // 2 + 1]
+        ref_work, work = WorkCounters(), WorkCounters()
+        ref = _loop_detect_losers(bg, batch, colors, ref_work)
+        assert ref  # the palette is small enough to force conflicts
+        assert _detect_losers(bg, batch, colors, work) == ref
+        assert work.as_dict() == ref_work.as_dict()
 
 
 class TestRejections:
